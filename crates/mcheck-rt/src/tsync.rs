@@ -1,6 +1,6 @@
-//! The atomic/thread shim: `std::sync::atomic` + `std::thread` surface
-//! that production protocol code (sim-core's `ring.rs` / `exec.rs`)
-//! imports instead of std.
+//! The atomic/thread shim: the `std::sync::atomic`, `std::thread` and
+//! `std::hint::spin_loop` surface that production protocol code
+//! (sim-core's `ring.rs` / `exec.rs`) imports instead of std.
 //!
 //! Two personalities, selected at compile time:
 //!
@@ -29,6 +29,9 @@ pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering}
 #[cfg(not(feature = "sched"))]
 pub use std::thread::{scope, spawn, yield_now, JoinHandle, Scope, ScopedJoinHandle};
 
+#[cfg(not(feature = "sched"))]
+pub use std::hint::spin_loop;
+
 /// A labelled `AtomicU64` (label only exists under `sched`).
 #[cfg(not(feature = "sched"))]
 #[inline(always)]
@@ -52,8 +55,8 @@ pub fn named_usize(_name: &'static str, v: usize) -> AtomicUsize {
 
 #[cfg(feature = "sched")]
 pub use controlled::{
-    fence, named_bool, named_u64, named_usize, scope, spawn, yield_now, AtomicBool, AtomicU64,
-    AtomicUsize, JoinHandle, Scope, ScopedJoinHandle,
+    fence, named_bool, named_u64, named_usize, scope, spawn, spin_loop, yield_now, AtomicBool,
+    AtomicU64, AtomicUsize, JoinHandle, Scope, ScopedJoinHandle,
 };
 
 #[cfg(feature = "sched")]
@@ -188,6 +191,17 @@ mod controlled {
     pub fn yield_now() {
         if !sched::yield_point() {
             std::thread::yield_now();
+        }
+    }
+
+    /// Scheduler-aware `std::hint::spin_loop`: under exploration it is
+    /// the same yield schedule point as [`yield_now`], so a spin-wait
+    /// parks under yield quiescence exactly like a yielding one (a
+    /// spin hint would otherwise be invisible to the scheduler and the
+    /// loop would run unbounded schedules).
+    pub fn spin_loop() {
+        if !sched::yield_point() {
+            std::hint::spin_loop();
         }
     }
 

@@ -937,6 +937,34 @@ mod tests {
     }
 
     #[test]
+    fn drain_tail_at_64_hosts_matches_serial_on_two_workers() {
+        // The paper's Advanced config on 64 hosts with 100 µs of
+        // traffic: eligible-time gating spreads the window's frames over
+        // their target latency, so the sparse drain after it spans most
+        // of the simulated time — the stretch the executor crosses by
+        // jumping safe time on quiescent snapshots.
+        let mk = |workers: usize| {
+            let mut cfg = SimConfig::paper(dqos_core::Architecture::Advanced2Vc, 0.5);
+            cfg.topology = dqos_topology::ClosParams::scaled(64);
+            let mut cfg = crate::presets::window_us(cfg, 0, 100);
+            cfg.workers = workers;
+            cfg
+        };
+        let (r1, s1) = Network::new(mk(1)).run();
+        let (r2, s2) = Network::new(mk(2)).run();
+        s1.check().unwrap();
+        assert_eq!(s2.partitions, 2);
+        assert_eq!(r1.to_json(), r2.to_json(), "bit-identical reports across workers");
+        // Every count but the per-partition arena peak is worker-invariant.
+        let counts = |mut s: RunSummary| {
+            s.peak_in_flight = 0;
+            s.partitions = 0;
+            format!("{s:?}")
+        };
+        assert_eq!(counts(s1), counts(s2));
+    }
+
+    #[test]
     fn run_summary_check_accepts_good_runs_and_rejects_bad() {
         let mut cfg = SimConfig::tiny(Architecture::Ideal, 0.2);
         cfg.warmup = SimDuration::from_us(100);

@@ -26,7 +26,9 @@
 //!   null-message timestamps: each iteration a partition republishes,
 //!   on every out-edge, `max(previous, min(calendar head, S) + L(e))`
 //!   — so an idle neighbour still ratchets everyone forward, anchored
-//!   by whichever partition holds the earliest real event.
+//!   by whichever partition holds the earliest real event. Stretches of
+//!   empty simulated time are jumped in one step from a quiescent
+//!   snapshot (see *Quiescent floor*).
 //!
 //! # Safety argument (why draining below `S` is exact)
 //!
@@ -43,19 +45,41 @@
 //! `(tick, key)` order), so the pop order below `S` is identical to the
 //! serial oracle's.
 //!
-//! # Termination without a barrier
+//! # Quiescent floor
 //!
 //! Each partition owns a seqlock-style version counter: odd while it
 //! mutates shared-visible state (draining rings, processing, pushing
-//! records, publishing its calendar head), even at rest. A run is over
-//! when a scan observes — with no version moving and none odd — every
-//! published head at or past the stop bound and every ring empty. Any
-//! in-flight work either leaves a record in a ring (ring check fails),
-//! a head below the stop bound (head check fails) or an odd/advanced
-//! version (version check fails). The scan is performed by idle workers
-//! and costs a few dozen atomic loads; the first success publishes a
-//! `done` flag and everyone exits. Errors and panics short-circuit via
-//! a `stop` flag exactly as before — the only lock in this file guards
+//! records, publishing its calendar head), even at rest. An idle
+//! partition takes one **snapshot** per iteration: read every version
+//! (abort if any is odd), take the minimum published head `g`, check
+//! every ring empty, re-read the versions. Versions are monotone, so
+//! an equal second read proves no partition ran any part of an active
+//! iteration during the scan: every calendar was frozen at its
+//! published head and no record was in flight. That is a consistent
+//! global state in which no event anywhere lies below `g`.
+//!
+//! Two conclusions follow from the one snapshot:
+//!
+//! * **Termination.** If `g` is at or past the stop bound, nothing is
+//!   left to process; the first such scan publishes `done` and everyone
+//!   exits. Any in-flight work either leaves a record in a ring (ring
+//!   check fails), a head below the stop bound (`g` is smaller) or an
+//!   odd/advanced version (version check fails).
+//! * **Jump.** Otherwise every future event is at or after `g`: events
+//!   only spawn events at or after their own time, and a record on edge
+//!   `e` lands at least `L(e)` later. So `g + L(e)` is a valid bound for
+//!   every record still to be pushed on `e`, and the idle partition
+//!   raises each of its out-edge bounds to `max(published, g + L(e))` in
+//!   one step. Where the null-message ratchet crawls through empty
+//!   simulated time one lookahead per round trip, the jump crosses it in
+//!   one scan. Bounds stay single-writer and monotone, so the consumer's
+//!   safety argument above is unchanged.
+//!
+//! The scan costs a few dozen atomic loads. Between scans an idle
+//! partition spins with a spin hint and yields the CPU only once every
+//! 64 idle iterations — unless the partitions outnumber
+//! the host's cores, where it yields every time. Errors and panics
+//! short-circuit via a `stop` flag — the only lock in this file guards
 //! the cold first-error slot.
 //!
 //! # Epochs
@@ -88,12 +112,12 @@ use crate::queue::EventQueue;
 use crate::ring::{RingMsg, SpscRing};
 use crate::time::{SimDuration, SimTime};
 // The tsync shim is a verbatim std re-export in plain builds; under the
-// `mcheck-rt` feature every atomic access and thread operation below
-// becomes a schedule point of the systematic concurrency checker, which
-// explores the null-message ratchet and the seqlock termination scan on
-// this very code (tests/mcheck_rt.rs, DESIGN.md §13).
+// `mcheck-rt` feature every atomic access, thread operation and spin
+// hint below becomes a schedule point of the systematic concurrency
+// checker, which explores the null-message ratchet and the quiescent
+// snapshot on this very code (tests/mcheck_rt.rs, DESIGN.md §13).
 use dqos_mcheck_rt::tsync::{
-    named_bool, named_u64, scope, yield_now, AtomicBool, AtomicU64, Ordering::SeqCst,
+    named_bool, named_u64, scope, spin_loop, yield_now, AtomicBool, AtomicU64, Ordering::SeqCst,
 };
 // tidy: allow(hot-path-sync) -- the error Mutex below is the cold first-failure slot, never taken on the steady-state path.
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -222,6 +246,31 @@ pub enum ExecError<E> {
     },
 }
 
+/// Idle iterations an idle partition spins (with a spin hint) for each
+/// one that yields its CPU to the OS scheduler, when every partition
+/// has a core of its own.
+const SPINS_PER_YIELD: u64 = 64;
+
+/// What one partition's worker did, counted in plain locals and handed
+/// back at join. Diagnostic only: apart from the event total, every
+/// count depends on the partitioning and on thread timing, so none may
+/// feed back into simulation state or canonical outputs (reports,
+/// traces). The serial loop reports its events and zeros elsewhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartStats {
+    /// Events this partition processed.
+    pub events: u64,
+    /// Times the partition read a safe time higher than the last one.
+    pub advances: u64,
+    /// Quiescent snapshots that raised at least one out-edge bound
+    /// beyond the null-message ratchet.
+    pub jumps: u64,
+    /// Iterations with nothing to drain and nothing below safe time.
+    pub idle_iters: u64,
+    /// `yield_now` calls, on the idle path and under ring backpressure.
+    pub yields: u64,
+}
+
 /// What [`execute`] returns: the worlds (back from the worker threads,
 /// error or not — diagnostics live inside them), the total event count,
 /// and the first error if any partition failed.
@@ -230,11 +279,9 @@ pub struct ExecResult<W: PartWorld> {
     pub worlds: Vec<W>,
     /// Events processed across all partitions.
     pub events: u64,
-    /// Events processed by each partition, in partition order. Sums to
-    /// `events`. Diagnostic only: the split depends on the partitioning,
-    /// so it must never feed back into simulation state or canonical
-    /// outputs (reports, traces).
-    pub events_per_part: Vec<u64>,
+    /// Per-partition counters, in partition order; their `events` sum
+    /// to `events`.
+    pub parts: Vec<PartStats>,
     /// First error recorded, if the run did not complete.
     pub error: Option<ExecError<W::Err>>,
 }
@@ -297,12 +344,12 @@ struct Ctl {
     outs: Vec<Vec<usize>>,
     /// Published calendar head (ns) of each partition: the earliest
     /// local event it has yet to process, `u64::MAX` when drained.
-    /// Read only by the termination scan.
+    /// Read only by the quiescent snapshot.
     head: Vec<AtomicU64>,
     /// Seqlock-style per-partition version: odd while the partition is
     /// mutating shared-visible state, even at rest. Monotone.
     ver: Vec<AtomicU64>,
-    /// Set by the first successful termination scan.
+    /// Set by the first snapshot whose floor reaches the stop bound.
     done: AtomicBool,
     /// Set on error or panic; short-circuits every worker.
     stop: AtomicBool,
@@ -350,13 +397,14 @@ pub fn execute<W: PartWorld>(mut worlds: Vec<W>, cfg: ExecConfig) -> ExecResult<
         let world = &mut worlds[0];
         let queue = &mut queues[0];
         let (events, error) = run_serial(world, queue, &cfg);
-        return ExecResult { worlds, events, events_per_part: vec![events], error };
+        let parts = vec![PartStats { events, ..PartStats::default() }];
+        return ExecResult { worlds, events, parts, error };
     }
     if let Some(detail) = validate_edges(&cfg, n_parts) {
         return ExecResult {
             worlds,
             events: 0,
-            events_per_part: vec![0; n_parts],
+            parts: vec![PartStats::default(); n_parts],
             error: Some(ExecError::Config { detail }),
         };
     }
@@ -536,6 +584,11 @@ fn run_parallel<W: PartWorld>(
     cfg: &ExecConfig,
 ) -> ExecResult<W> {
     let n_parts = worlds.len();
+    // Spinning only pays while every partition has a core of its own:
+    // on an oversubscribed host a spinner burns the time slice that the
+    // partition it waits for needs.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let spins = if n_parts <= cores { SPINS_PER_YIELD } else { 0 };
     // Process strictly below this; `horizon` itself is still processed.
     let stop_bound = match cfg.horizon {
         Some(h) => h.as_ns().saturating_add(1),
@@ -554,47 +607,50 @@ fn run_parallel<W: PartWorld>(
     // tidy: allow(hot-path-sync) -- cold first-error slot; locked only when a run is already failing.
     let error: Mutex<Option<ExecError<W::Err>>> = Mutex::new(None);
 
-    // The termination scan. Versions are monotone and odd while a
-    // partition mutates, so an equal, all-even sum across the whole
-    // check certifies that the heads and rings it read form one
-    // consistent snapshot of a fully quiescent system.
-    let try_finish = || -> bool {
+    // The quiescent snapshot (module docs, *Quiescent floor*). Versions
+    // are monotone and odd while a partition mutates, so an equal,
+    // all-even sum across the whole scan certifies that the heads and
+    // rings it read form one consistent snapshot of a fully quiescent
+    // system. Returns the minimum published head of that snapshot.
+    let quiescent_floor = || -> Option<u64> {
         let mut sum1 = 0u64;
         for v in &ctl.ver {
             let x = v.load(SeqCst);
             if x & 1 == 1 {
-                return false;
+                return None;
             }
             sum1 = sum1.wrapping_add(x);
         }
-        if !ctl.head.iter().all(|h| h.load(SeqCst) >= stop_bound) {
-            return false;
-        }
-        if !ctl.chans.iter().all(|c| c.ring.is_empty()) {
-            return false;
+        let floor = ctl.head.iter().map(|h| h.load(SeqCst)).min().unwrap_or(u64::MAX);
+        // Seeded bug for the concurrency checker: leave the rings out
+        // of the snapshot, so a record still in flight is invisible to
+        // the floor — the jump then promises past its timestamp.
+        #[cfg(feature = "mcheck-rt")]
+        let check_rings = !dqos_mcheck_rt::mutation_enabled("exec.jump-ignores-rings");
+        #[cfg(not(feature = "mcheck-rt"))]
+        let check_rings = true;
+        if check_rings && !ctl.chans.iter().all(|c| c.ring.is_empty()) {
+            return None;
         }
         // Seeded bug for the concurrency checker: trust the first
         // version sum without the confirming re-read, so a partition
         // that went active mid-scan slips past the quiescence check.
         #[cfg(feature = "mcheck-rt")]
         if dqos_mcheck_rt::mutation_enabled("exec.skip-version-reread") {
-            ctl.done.store(true, SeqCst);
-            return true;
+            return Some(floor);
         }
         let mut sum2 = 0u64;
         for v in &ctl.ver {
             sum2 = sum2.wrapping_add(v.load(SeqCst));
         }
-        if sum1 == sum2 {
-            ctl.done.store(true, SeqCst);
-            true
-        } else {
-            false
-        }
+        (sum1 == sum2).then_some(floor)
     };
 
     let worker = |part: usize, mut world: W, mut queue: EventQueue<(u32, W::Msg)>| {
-        let mut events = 0u64;
+        let mut stats = PartStats::default();
+        let mut last_s = 0u64;
+        // Idle iterations since the last active one (spin-then-yield).
+        let mut idle_streak = 0u64;
         let mut last_t = SimTime::ZERO;
         let mut same_tick = 0u64;
         let mut epoch_next = 0usize;
@@ -655,40 +711,57 @@ fn run_parallel<W: PartWorld>(
             for &c in &ctl.in_of[part] {
                 s = s.min(ctl.chans[c].bound.load(SeqCst));
             }
+            if s > last_s {
+                stats.advances += 1;
+                last_s = s;
+            }
             let limit = s.min(stop_bound);
             let head = queue.peek_time().map_or(u64::MAX, |t| t.as_ns());
             let idle = head >= limit
                 && ctl.in_of[part].iter().all(|&c| ctl.chans[c].ring.is_empty());
             if idle {
-                // Nothing to drain, nothing processable: ratchet the
-                // out-bounds (null messages) and scan for termination.
+                // Nothing to drain, nothing processable: take the
+                // quiescent snapshot, then raise the out-bounds to the
+                // larger of the null-message ratchet and the jump.
                 // Publishing a bound needs no version bump — bounds are
-                // monotone and the scan does not read them.
+                // monotone and the snapshot does not read them.
+                stats.idle_iters += 1;
+                let floor = quiescent_floor();
+                if floor.is_some_and(|g| g >= stop_bound) {
+                    ctl.done.store(true, SeqCst);
+                    break;
+                }
                 // Seeded bug for the concurrency checker: dropping the
-                // null-message ratchet starves every neighbour's safe
-                // time and the fabric livelocks.
+                // null-message ratchet leaves the quiescent jump as the
+                // only thing moving an idle partition's bounds.
                 #[cfg(feature = "mcheck-rt")]
                 let skip_nulls = dqos_mcheck_rt::mutation_enabled("exec.skip-null-messages");
                 #[cfg(not(feature = "mcheck-rt"))]
                 let skip_nulls = false;
-                if !skip_nulls {
-                    let e = head.min(s);
-                    for (i, &c) in ctl.outs[part].iter().enumerate() {
-                        let b = e.saturating_add(ctl.chans[c].lookahead);
-                        if b > pub_bounds[i] {
-                            pub_bounds[i] = b;
-                            ctl.chans[c].bound.store(b, SeqCst);
-                        }
+                let ratchet = if skip_nulls { 0 } else { head.min(s) };
+                let e = floor.map_or(ratchet, |g| g.max(ratchet));
+                let mut raised = false;
+                for (i, &c) in ctl.outs[part].iter().enumerate() {
+                    let b = e.saturating_add(ctl.chans[c].lookahead);
+                    if b > pub_bounds[i] {
+                        raised = true;
+                        pub_bounds[i] = b;
+                        ctl.chans[c].bound.store(b, SeqCst);
                     }
                 }
-                if try_finish() {
-                    break;
+                stats.jumps += u64::from(raised && e > ratchet);
+                idle_streak += 1;
+                if idle_streak % (spins + 1) == 0 {
+                    stats.yields += 1;
+                    yield_now();
+                } else {
+                    spin_loop();
                 }
-                yield_now();
                 continue;
             }
             // Active iteration: version odd while any shared-visible
             // state (rings, published head) is in motion.
+            idle_streak = 0;
             ctl.ver[part].fetch_add(1, SeqCst);
             // 2. Drain every in-ring fully into the calendar (already
             // done this iteration by the drain-before-bound mutant).
@@ -710,7 +783,7 @@ fn run_parallel<W: PartWorld>(
                     world.on_epoch(epoch_next);
                     epoch_next += 1;
                 }
-                events += 1;
+                stats.events += 1;
                 if ev.time == last_t {
                     same_tick += 1;
                     if same_tick > cfg.same_tick_limit {
@@ -778,11 +851,12 @@ fn run_parallel<W: PartWorld>(
                         if ctl.stop.load(SeqCst) {
                             break 'main;
                         }
+                        stats.yields += 1;
                         yield_now();
                     }
                 }
             }
-            // 4. Publish: calendar head for the termination scan, then
+            // 4. Publish: calendar head for the quiescent snapshot, then
             // out-bounds (min(head, S) + L per edge), then the even
             // version — the order makes the scan's snapshot sound.
             let head_now = queue.peek_time().map_or(u64::MAX, |t| t.as_ns());
@@ -805,10 +879,10 @@ fn run_parallel<W: PartWorld>(
                 epoch_next += 1;
             }
         }
-        (world, events)
+        (world, stats)
     };
 
-    let mut results: Vec<(W, u64)> = Vec::with_capacity(n_parts);
+    let mut results: Vec<(W, PartStats)> = Vec::with_capacity(n_parts);
     scope(|s| {
         let handles: Vec<_> = worlds
             .into_iter()
@@ -825,18 +899,11 @@ fn run_parallel<W: PartWorld>(
             }
         }
     });
-    let mut out_worlds = Vec::with_capacity(n_parts);
-    let mut events_per_part = Vec::with_capacity(n_parts);
-    let mut events = 0u64;
-    for (w, e) in results {
-        out_worlds.push(w);
-        events_per_part.push(e);
-        events += e;
-    }
+    let (worlds, parts): (Vec<W>, Vec<PartStats>) = results.into_iter().unzip();
     ExecResult {
-        worlds: out_worlds,
-        events,
-        events_per_part,
+        worlds,
+        events: parts.iter().map(|p| p.events).sum(),
+        parts,
         error: error.into_inner().unwrap_or_else(PoisonError::into_inner),
     }
 }
@@ -1039,8 +1106,39 @@ mod tests {
         for parts in [1usize, 2, 3] {
             let res = run_ring(parts, vec![], None);
             assert!(res.error.is_none());
-            assert_eq!(res.events_per_part.len(), parts);
-            assert_eq!(res.events_per_part.iter().sum::<u64>(), res.events);
+            assert_eq!(res.parts.len(), parts);
+            assert_eq!(res.parts.iter().map(|p| p.events).sum::<u64>(), res.events);
+        }
+    }
+
+    #[test]
+    fn quiescent_jump_crosses_idle_time() {
+        // Two tokens hop between two partitions every 10 µs while the
+        // lookahead is 32 ns: the null-message ratchet alone would need
+        // ~span/lookahead safe-time advances to crawl between events.
+        const DELAY: u64 = 10_000;
+        const ROUNDS: u64 = 200;
+        let run = |parts: u32| {
+            let part_of: Vec<u32> = (0..2).map(|n| n % parts).collect();
+            let worlds: Vec<Ring> =
+                (0..parts).map(|p| Ring::new(p, part_of.clone(), 2, DELAY, ROUNDS)).collect();
+            let mut cfg = ring_cfg(part_of, vec![], None);
+            cfg.lookahead = SimDuration::from_ns(32);
+            execute(worlds, cfg)
+        };
+        let ser = run(1);
+        let par = run(2);
+        assert!(ser.error.is_none() && par.error.is_none());
+        assert_eq!(par.events, ser.events);
+        assert_eq!(merged(&par), merged(&ser));
+        let span = ROUNDS * DELAY;
+        for (p, st) in par.parts.iter().enumerate() {
+            assert!(st.jumps > 0, "partition {p} never jumped: {st:?}");
+            assert!(
+                st.advances < span / 32 / 100,
+                "partition {p} crawled: {} advances over {span} ns ({st:?})",
+                st.advances
+            );
         }
     }
 

@@ -53,8 +53,21 @@ pub use dqos_mcheck_rt::tsync;
 #[cfg(not(feature = "mcheck-rt"))]
 const _TSYNC_IS_STD: fn(&tsync::AtomicU64) -> &std::sync::atomic::AtomicU64 = |x| x;
 
+// The same proof for the spin hint: every fn item has its own type, so
+// assigning `std::hint::spin_loop` to a binding of `tsync::spin_loop`'s
+// type only compiles if both paths name the one std function.
+#[cfg(not(feature = "mcheck-rt"))]
+#[allow(unused_assignments)]
+const _SPIN_IS_STD: () = {
+    let mut f = tsync::spin_loop;
+    f = std::hint::spin_loop;
+    let _ = f;
+};
+
 pub use engine::{Engine, World};
-pub use exec::{execute, ExecConfig, ExecEdge, ExecError, ExecResult, Outbox, PartWorld};
+pub use exec::{
+    execute, ExecConfig, ExecEdge, ExecError, ExecResult, Outbox, PartStats, PartWorld,
+};
 pub use pool::{default_workers, par_map};
 pub use queue::{BinaryHeapQueue, EventQueue, ScheduledEvent};
 pub use ring::{RingMsg, SpscRing};

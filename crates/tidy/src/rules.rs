@@ -82,9 +82,10 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "atomic-isolation",
-        what: "modules declaring `tidy: hot-path` must route atomics and thread operations \
-               through the tsync shim (dqos_mcheck_rt::tsync), not std::sync::atomic / \
-               std::thread, so the systematic concurrency checker sees every access \
+        what: "modules declaring `tidy: hot-path` must route atomics, thread operations and \
+               spin hints through the tsync shim (dqos_mcheck_rt::tsync), not \
+               std::sync::atomic / std::thread / std::hint, so the systematic concurrency \
+               checker sees every access \
                (justify exceptions with `tidy: allow(atomic-isolation)`)",
     },
     RuleInfo {
@@ -337,6 +338,23 @@ pub fn check_source(path: &str, src: &str, class: &FileClass) -> Vec<Finding> {
                     "`std::sync::atomic` in a `tidy: hot-path` module; route atomics \
                      through the `tsync` shim (`dqos_mcheck_rt::tsync`) so the systematic \
                      concurrency checker sees every access (justify exceptions with \
+                     `tidy: allow(atomic-isolation)`)"
+                        .to_string(),
+                    &mut supps,
+                );
+            }
+            if hot_path
+                && lib_code
+                && name == "hint"
+                && punct(toks, i + 1, "::")
+                && ident_in(toks, i + 2, &["spin_loop"])
+            {
+                emit(
+                    "atomic-isolation",
+                    t.line,
+                    "`hint::spin_loop` in a `tidy: hot-path` module; spin through the `tsync` \
+                     shim (`dqos_mcheck_rt::tsync::spin_loop`) so the systematic concurrency \
+                     checker parks the spinner (justify exceptions with \
                      `tidy: allow(atomic-isolation)`)"
                         .to_string(),
                     &mut supps,

@@ -231,6 +231,16 @@ fn atomic_isolation() {
 }
 
 #[test]
+fn atomic_isolation_covers_the_spin_hint() {
+    let src = include_str!("fixtures/bad_atomic_isolation.rs");
+    let findings = run("bad", src, &FileClass::sim_lib());
+    assert!(
+        findings.iter().any(|f| f.rule == "atomic-isolation" && f.msg.contains("spin_loop")),
+        "a raw spin hint in a hot-path module went unflagged: {findings:?}"
+    );
+}
+
+#[test]
 fn atomic_isolation_only_applies_to_declared_modules() {
     // Raw `std::sync::atomic` is fine in modules that never declare
     // `tidy: hot-path` — the shim requirement exists so the checker can

@@ -4,7 +4,9 @@
 //! the one legitimate raw `std::thread` use justified.
 // tidy: hot-path
 
-use dqos_mcheck_rt::tsync::{named_u64, scope, yield_now, AtomicU64, Ordering::SeqCst};
+use dqos_mcheck_rt::tsync::{
+    named_u64, scope, spin_loop, yield_now, AtomicU64, Ordering::SeqCst,
+};
 
 pub struct Cursor {
     pub head: AtomicU64,
@@ -22,6 +24,7 @@ pub fn pump(c: &Cursor) {
     scope(|s| {
         s.spawn(|| publish(c, 1));
         while c.head.load(SeqCst) == 0 {
+            spin_loop();
             yield_now();
         }
     });

@@ -1,6 +1,6 @@
 //! Systematic concurrency checking of the *production* lock-free
 //! protocols: the SPSC ring channel, the free-running executor's
-//! null-message ratchet and its seqlock termination scan — the real
+//! null-message ratchet and its seqlock quiescent snapshot — the real
 //! `sim_core::ring` / `sim_core::exec` code, not abstract models of it
 //! (the old `sim_core::mcheck` models are retired; see DESIGN.md §13).
 //!
@@ -15,9 +15,9 @@
 //!
 //! Each seeded-bug test weakens the protocol the way a plausible
 //! regression would — demote a Release edge to Relaxed, drain before
-//! reading bounds, skip the null-message ratchet or the seqlock
-//! confirming re-read — and asserts the checker kills the mutant
-//! within the bounded budget (`DQOS_MCHECK_BUDGET`).
+//! reading bounds, leave the rings out of the quiescent snapshot or
+//! skip its confirming version re-read — and asserts the checker kills
+//! the mutant within the bounded budget (`DQOS_MCHECK_BUDGET`).
 #![cfg(feature = "mcheck")]
 
 use deadline_qos::sim_core::exec::{execute, ExecConfig, ExecEdge, Outbox, PartWorld};
@@ -147,7 +147,7 @@ impl PartWorld for RelayWorld {
 fn cfg(part_of: Vec<u32>) -> ExecConfig {
     ExecConfig {
         lookahead: SimDuration::from_ns(LOOKAHEAD),
-        // Edge order chosen so the termination scan walks the 1 -> 0
+        // Edge order chosen so the quiescent snapshot walks the 1 -> 0
         // ring before the 0 -> 1 ring — the window the seqlock re-read
         // exists to close.
         edges: Some(vec![
@@ -203,6 +203,11 @@ const CHAINS: &[(u64, u32, u64)] = &[(1, 0, 0), (10, 0, 0), (6, 1, 0)];
 /// partition 0: node 1 fires at t=1 and relays to node 0 at t=3, which
 /// must be handled before node 0's own seeded t=4 event.
 const CROSS: &[(u64, u32, u64)] = &[(1, 1, 1), (4, 0, 0)];
+/// A record in flight below every calendar head: node 1 fires at t=1
+/// and relays to node 0 at t=3, whose reply reaches node 1 at t=5 —
+/// before node 1's own seeded t=10 event. Until node 0 drains the t=3
+/// record, both published heads (none, 10) lie above it.
+const IN_FLIGHT: &[(u64, u32, u64)] = &[(1, 1, 2), (10, 1, 0)];
 
 #[test]
 fn exec_relay_matches_oracle_under_bounded_exploration() {
@@ -240,27 +245,45 @@ fn exec_drain_before_bound_mutant_is_killed() {
 }
 
 /// Dropped null messages: idle partitions stop ratcheting their
-/// out-bounds and the whole fabric starves — every thread ends up
-/// yield-parked with no store pending.
+/// out-bounds. Without the quiescent jump the fabric starved (every
+/// thread yield-parked with no store pending); with it, a quiescent
+/// snapshot raises the idle partitions' bounds past the global floor on
+/// its own, so every schedule must still finish and match the oracle.
 #[test]
-fn exec_skip_null_messages_mutant_livelocks() {
+fn exec_skip_null_messages_is_carried_by_the_jump() {
     let expected = oracle_logs(CHAINS);
     let o = ExploreOpts {
         mutation: Some("exec.skip-null-messages".into()),
         ..Default::default()
     };
     let report = explore(&o, || exec_driver(CHAINS, &expected));
-    let v = report.require_violation("skip-null-messages");
-    assert!(
-        matches!(v, Violation::Livelock | Violation::Deadlock { .. }),
-        "expected a livelock, got {v:?}"
-    );
+    report.require_clean("skip-null-messages, quiescent jump only");
+}
+
+/// Rings left out of the quiescent snapshot: node 0's partition goes
+/// idle, node 1's pushes the t=3 record, and a snapshot that ignores
+/// the ring takes the floor from the heads alone (10). The jump then
+/// promises node 1's partition nothing below 12 on the 0 -> 1 edge, so
+/// it handles its t=10 event before the t=5 reply exists — and the next
+/// blind snapshot, with both heads drained, ends the run while the t=3
+/// record still sits in the ring.
+#[test]
+fn exec_jump_ignores_rings_mutant_is_killed() {
+    let expected = oracle_logs(IN_FLIGHT);
+    let o = ExploreOpts {
+        mutation: Some("exec.jump-ignores-rings".into()),
+        ..Default::default()
+    };
+    let report = explore(&o, || exec_driver(IN_FLIGHT, &expected));
+    let v = report.require_violation("jump-ignores-rings");
+    assert!(matches!(v, Violation::Panic { .. }), "expected an oracle divergence, got {v:?}");
 }
 
 /// Torn seqlock: skipping the confirming version re-read lets the scan
 /// certify a snapshot spliced across another partition's active
-/// iteration — `done` rises with a record still in flight and the run
-/// exits without processing it.
+/// iteration. The one snapshot gates both termination and the jump, so
+/// either `done` rises with a record still in flight or a bound jumps
+/// past it; both lose or reorder an event.
 #[test]
 fn exec_skip_version_reread_mutant_is_killed() {
     let expected = oracle_logs(RELAY);
@@ -277,7 +300,7 @@ fn exec_skip_version_reread_mutant_is_killed() {
 }
 
 /// Relaxed seqlock ingredient: the published calendar head demoted to
-/// Relaxed is unordered against the termination scan's read of it.
+/// Relaxed is unordered against the quiescent snapshot's read of it.
 #[test]
 fn exec_demoted_head_store_is_a_race() {
     let expected = oracle_logs(RELAY);
