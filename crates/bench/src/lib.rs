@@ -373,7 +373,7 @@ pub mod harness {
     /// accumulates history — e.g. the pre-optimisation `full_sim/...`
     /// rows stay on record next to the current `fullsim/...` rows —
     /// instead of being clobbered by every rerun.
-    pub fn write_json_merged(path: &std::path::Path, ms: &[Measurement], extra: &[(&str, f64)]) {
+    pub fn write_json_merged(path: &std::path::Path, ms: &[Measurement]) {
         use dqos_stats::Json;
         let mut fields: Vec<(String, Json)> = match std::fs::read_to_string(path)
             .ok()
@@ -399,9 +399,6 @@ pub mod harness {
                     ("elements", Json::Int(m.elements as i128)),
                 ]),
             );
-        }
-        for (k, v) in extra {
-            set(&mut fields, k, Json::Float(*v));
         }
         let doc = Json::Obj(fields).to_string_pretty();
         if let Err(e) = std::fs::write(path, doc) {

@@ -255,8 +255,7 @@ mod tests {
         assert_eq!(parts.iter().map(|&p| p as u64).sum::<u64>(), 5000);
     }
 
-    /// Dependency-free ports of the property suite, driven by the
-    /// in-house RNG so they run in the offline tier-1 build.
+    /// Randomized property checks, driven by the in-house RNG.
     mod randomized {
         use super::*;
         use dqos_sim_core::SimRng;
@@ -311,54 +310,6 @@ mod tests {
                 let mut s = Stamper::new(DeadlineMode::AvgBandwidth(bw));
                 let t = s.stamp(SimTime::from_ns(now), len, 1);
                 assert!(t.deadline >= SimTime::from_ns(now) + bw.tx_time(len as u64));
-            }
-        }
-    }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Hypothesis (1) of the appendix: deadlines within a flow
-            /// strictly increase, whatever the arrival pattern.
-            #[test]
-            fn prop_deadlines_strictly_increase(
-                arrivals in proptest::collection::vec((0u64..1_000_000, 1u32..100_000), 1..200),
-                bw_mb in 1u64..1000,
-            ) {
-                let mut s = Stamper::new(DeadlineMode::AvgBandwidth(Bandwidth::mbytes_per_sec(bw_mb)));
-                let mut t = 0;
-                let mut last = SimTime::ZERO;
-                for (gap, len) in arrivals {
-                    t += gap;
-                    let stamp = s.stamp(SimTime::from_ns(t), len, 1);
-                    prop_assert!(stamp.deadline > last, "deadline did not increase");
-                    last = stamp.deadline;
-                }
-            }
-
-            /// Segmentation conserves bytes and respects the MTU.
-            #[test]
-            fn prop_segmentation_conserves(bytes in 1u64..1_000_000, mtu in 1u32..10_000) {
-                let parts = segment_message(bytes, mtu);
-                prop_assert_eq!(parts.iter().map(|&p| p as u64).sum::<u64>(), bytes);
-                prop_assert!(parts.iter().all(|&p| p > 0 && p <= mtu));
-                // Only the last part may be short.
-                for &p in &parts[..parts.len() - 1] {
-                    prop_assert_eq!(p, mtu);
-                }
-            }
-
-            /// Deadline of packet i is always >= now + its own increment
-            /// (a packet can never be due before it could be sent).
-            #[test]
-            fn prop_deadline_not_in_past(now in 0u64..10_000_000, len in 1u32..100_000) {
-                let bw = Bandwidth::gbps(8);
-                let mut s = Stamper::new(DeadlineMode::AvgBandwidth(bw));
-                let t = s.stamp(SimTime::from_ns(now), len, 1);
-                prop_assert!(t.deadline >= SimTime::from_ns(now) + bw.tx_time(len as u64));
             }
         }
     }

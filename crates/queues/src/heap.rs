@@ -134,8 +134,9 @@ mod tests {
         assert_eq!(q.bytes(), 0);
     }
 
-    /// Dependency-free port of the property suite: random interleaved
-    /// enqueue/dequeue against a linear-scan model.
+    /// Random interleaved enqueue/dequeue against a linear-scan model:
+    /// the head is always the minimum of the current contents, and the
+    /// final drain comes out in non-decreasing deadline order.
     #[test]
     fn randomized_head_is_min() {
         use dqos_sim_core::SimRng;
@@ -160,54 +161,9 @@ mod tests {
                 }
                 assert_eq!(q.head_deadline().map(|t| t.as_ns()), model.iter().min().copied());
             }
+            model.sort_unstable();
+            let drained: Vec<u64> = std::iter::from_fn(|| q.dequeue()).map(|it| it.deadline).collect();
+            assert_eq!(drained, model, "drain not in deadline order");
         }
-    }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-    proptest! {
-        /// Dequeues come out in non-decreasing deadline order whatever
-        /// the insertion order (the defining heap property).
-        #[test]
-        fn prop_dequeue_sorted(deadlines in proptest::collection::vec(0u64..10_000, 1..200)) {
-            let mut q = HeapQueue::new();
-            for (i, &d) in deadlines.iter().enumerate() {
-                q.enqueue(Item::new(0, i as u32, d));
-            }
-            let mut last = 0;
-            while let Some(it) = q.dequeue() {
-                prop_assert!(it.deadline >= last);
-                last = it.deadline;
-            }
-        }
-
-        /// Interleaved enqueue/dequeue: the head is always the minimum of
-        /// the current contents.
-        #[test]
-        fn prop_head_is_min(ops in proptest::collection::vec((any::<bool>(), 0u64..1000), 1..300)) {
-            let mut q = HeapQueue::new();
-            let mut model: Vec<u64> = vec![];
-            for (i, (push, d)) in ops.into_iter().enumerate() {
-                if push || model.is_empty() {
-                    q.enqueue(Item::new(0, i as u32, d));
-                    model.push(d);
-                } else {
-                    let got = q.dequeue().unwrap().deadline;
-                    let min_pos = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &v)| v)
-                        .map(|(p, _)| p)
-                        .unwrap();
-                    let want = model.remove(min_pos);
-                    prop_assert_eq!(got, want);
-                }
-                prop_assert_eq!(q.head_deadline().map(|t| t.as_ns()), model.iter().min().copied());
-            }
-        }
-    }
     }
 }

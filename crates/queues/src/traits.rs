@@ -4,24 +4,13 @@ use dqos_sim_core::SimTime;
 
 /// An item that carries a deadline tag and a length.
 ///
-/// Implemented for the simulator's `Packet` below and for lightweight
+/// Implemented for the simulator's `PktTok` below and for lightweight
 /// test items inside this crate.
 pub trait Deadlined {
     /// The deadline tag (in the holder's clock domain).
     fn deadline(&self) -> SimTime;
     /// Length in bytes, for occupancy accounting.
     fn len_bytes(&self) -> u32;
-}
-
-impl Deadlined for dqos_core::Packet {
-    #[inline]
-    fn deadline(&self) -> SimTime {
-        self.deadline
-    }
-    #[inline]
-    fn len_bytes(&self) -> u32 {
-        self.len
-    }
 }
 
 impl Deadlined for dqos_core::PktTok {
@@ -73,8 +62,7 @@ pub trait SchedQueue<T: Deadlined> {
 /// to the concrete implementations.
 ///
 /// The `Fifo` and `TwoQueue` kinds dispatch to the flat ring/slot
-/// versions ([`crate::flat`]); the original `VecDeque`-based structures
-/// remain exported as the differential-test oracles.
+/// structures of [`crate::flat`].
 #[derive(Debug, Clone)]
 pub enum AnyQueue<T> {
     /// Plain FIFO (flat ring).

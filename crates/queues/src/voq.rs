@@ -102,13 +102,12 @@ impl<Q> Voq<Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo::FifoQueue;
+    use crate::flat::{FlatFifo, FlatTwoQueue};
     use crate::traits::test_util::Item;
-    use crate::two_queue::TwoQueue;
 
     #[test]
     fn routes_to_sub_queues() {
-        let mut v: Voq<FifoQueue<Item>> = Voq::new(4, FifoQueue::new);
+        let mut v: Voq<FlatFifo<Item>> = Voq::new(4, FlatFifo::new);
         v.enqueue(0, Item::new(0, 0, 10));
         v.enqueue(2, Item::new(1, 0, 20));
         v.enqueue(2, Item::new(1, 1, 30));
@@ -127,7 +126,7 @@ mod tests {
 
     #[test]
     fn shared_byte_budget() {
-        let mut v: Voq<TwoQueue<Item>> = Voq::new(2, TwoQueue::new);
+        let mut v: Voq<FlatTwoQueue<Item>> = Voq::new(2, FlatTwoQueue::new);
         v.enqueue(0, Item { flow: 0, seq: 0, deadline: 5, len: 100 });
         v.enqueue(1, Item { flow: 1, seq: 0, deadline: 6, len: 200 });
         assert_eq!(v.bytes(), 300);
@@ -139,7 +138,7 @@ mod tests {
     fn no_hol_blocking_across_outputs() {
         // A packet stuck for output 0 does not hide packets for output 1
         // — the definitional property of VOQ.
-        let mut v: Voq<FifoQueue<Item>> = Voq::new(2, FifoQueue::new);
+        let mut v: Voq<FlatFifo<Item>> = Voq::new(2, FlatFifo::new);
         v.enqueue(0, Item::new(0, 0, 999)); // "blocked" head for output 0
         v.enqueue(1, Item::new(1, 0, 1));
         assert_eq!(v.dequeue(1).unwrap().deadline, 1);

@@ -1168,6 +1168,11 @@ mod tests {
         assert!(ser.worlds[0].epoch_marks[0].1 < 500);
     }
 
+    /// The horizon truncates serial and parallel runs identically, and
+    /// it is inclusive: an event *at* `horizon` is handled and the next
+    /// one is not — the contract the measurement windows rely on. The
+    /// six ring tokens all fire at 1 + 16k ns, so a horizon on step
+    /// k = 43 leaves each token exactly 44 deliveries.
     #[test]
     fn horizon_truncates_identically() {
         let h = Some(SimTime::from_ns(700));
@@ -1177,6 +1182,17 @@ mod tests {
         assert!(ser.events < run_ring(1, vec![], None).events);
         assert_eq!(par.events, ser.events);
         assert_eq!(merged(&par), merged(&ser));
+
+        let last = 1 + 16 * 43;
+        for parts in [1usize, 2] {
+            let res = run_ring(parts, vec![], Some(SimTime::from_ns(last)));
+            assert!(res.error.is_none());
+            assert_eq!(res.events, 6 * 44, "{parts} partition(s)");
+            let latest = res.worlds.iter().map(|w| w.max_seen).max();
+            assert_eq!(latest, Some(last), "{parts} partition(s): event at the horizon not run");
+            let res = run_ring(parts, vec![], Some(SimTime::from_ns(last - 1)));
+            assert_eq!(res.events, 6 * 43, "{parts} partition(s): ran past the horizon");
+        }
     }
 
     #[test]

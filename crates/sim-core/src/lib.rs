@@ -13,11 +13,9 @@
 //!   near buckets + sorted overflow) with a monotonically increasing
 //!   sequence number so that events scheduled for the same tick are
 //!   delivered in FIFO order (stable, deterministic tie-breaking).
-//!   [`BinaryHeapQueue`] is the original heap calendar, kept as the
-//!   reference oracle for differential tests and benches.
-//! * [`Engine`] / [`World`] — a minimal driver loop for simulations that
-//!   want one; larger simulations (the full network model in
-//!   `dqos-netsim`) own their loop and use [`EventQueue`] directly.
+//! * [`exec`] — the partitioned event loop: a serial oracle and a
+//!   free-running conservative parallel executor over [`PartWorld`]s
+//!   that produce byte-identical results.
 //! * [`rng`] / [`dist`] — a seedable, version-stable PRNG
 //!   (xoshiro256\*\*, implemented in-tree — no `rand` dependency) plus
 //!   the distributions the paper's workloads need (exponential, bounded
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod exec;
 pub mod pool;
 pub mod queue;
@@ -64,12 +61,11 @@ const _SPIN_IS_STD: () = {
     let _ = f;
 };
 
-pub use engine::{Engine, World};
 pub use exec::{
     execute, ExecConfig, ExecEdge, ExecError, ExecResult, Outbox, PartStats, PartWorld,
 };
 pub use pool::{default_workers, par_map};
-pub use queue::{BinaryHeapQueue, EventQueue, ScheduledEvent};
+pub use queue::{EventQueue, ScheduledEvent};
 pub use ring::{RingMsg, SpscRing};
 pub use rng::{SimRng, SplitMix64};
 pub use time::{Bandwidth, SimDuration, SimTime};

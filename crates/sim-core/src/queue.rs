@@ -1,21 +1,17 @@
 //! The event calendar.
 //!
-//! Two implementations share one API and one semantics contract:
+//! [`EventQueue`] is a **two-level bucketed calendar queue**
+//! (timing-wheel-style near buckets plus a sorted overflow heap).
+//! Scheduling and popping are O(1) amortised for the dense,
+//! short-horizon event patterns a network simulation produces, instead
+//! of the O(log n) per operation of a binary heap.
+//! `tests/calendar_differential.rs` checks it against a binary-heap
+//! reference defined in that test.
 //!
-//! * [`EventQueue`] — the production calendar: a **two-level bucketed
-//!   calendar queue** (timing-wheel-style near buckets plus a sorted
-//!   overflow heap). Scheduling and popping are O(1) amortised for the
-//!   dense, short-horizon event patterns a network simulation produces,
-//!   instead of the O(log n) per operation of a binary heap.
-//! * [`BinaryHeapQueue`] — the original binary-heap calendar, kept as the
-//!   reference oracle for differential tests and as the baseline in the
-//!   `event_kernel` bench.
-//!
-//! **Semantics contract** (identical for both): events pop in
-//! non-decreasing time order, and events that share a tick pop in the
-//! order they were scheduled (stable FIFO tie-break on a monotonically
-//! increasing sequence number). Scheduling in the past is a logic error
-//! and panics in debug builds.
+//! **Semantics contract**: events pop in non-decreasing time order, and
+//! events that share a tick pop in the order they were scheduled (stable
+//! FIFO tie-break on a monotonically increasing sequence number).
+//! Scheduling in the past is a logic error and panics in debug builds.
 //!
 //! # Bucketed calendar design
 //!
@@ -457,100 +453,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original binary-heap calendar, kept as the reference oracle.
-///
-/// Same API and semantics as [`EventQueue`]; differential tests assert
-/// bit-identical pop order between the two, and the `event_kernel` bench
-/// uses it as the baseline the bucketed calendar must beat.
-#[derive(Debug)]
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: SimTime,
-    scheduled_total: u64,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// An empty calendar at time zero.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            scheduled_total: 0,
-        }
-    }
-
-    /// An empty calendar with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BinaryHeapQueue { heap: BinaryHeap::with_capacity(cap), ..Self::new() }
-    }
-
-    /// The time of the most recently popped event.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `payload` to fire at absolute time `at` (`at >= now`).
-    #[inline]
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: at={at:?} now={:?}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(Entry { time: at, seq, payload });
-    }
-
-    /// Remove and return the earliest event, advancing the clock.
-    #[inline]
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.time >= self.now, "event queue time went backwards");
-        self.now = e.time;
-        Some(ScheduledEvent { time: e.time, payload: e.payload })
-    }
-
-    /// The timestamp of the next event without removing it.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the calendar is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Drop all pending events (the clock is preserved).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,36 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn differential_vs_reference_heap_small() {
-        let mut rng = SimRng::new(2024);
-        let mut fast = EventQueue::with_geometry(2, 64);
-        let mut oracle = BinaryHeapQueue::new();
-        let mut pending = 0u32;
-        for step in 0..20_000u64 {
-            if pending == 0 || (pending < 512 && rng.chance(0.55)) {
-                let at = SimTime::from_ns(
-                    fast.now().as_ns() + rng.range_u64(0, 700),
-                );
-                fast.schedule(at, step);
-                oracle.schedule(at, step);
-                pending += 1;
-            } else {
-                let a = fast.pop().unwrap();
-                let b = oracle.pop().unwrap();
-                assert_eq!((a.time, a.payload), (b.time, b.payload));
-                pending -= 1;
-            }
-            assert_eq!(fast.len(), oracle.len());
-            assert_eq!(fast.peek_time(), oracle.peek_time());
-        }
-        while let Some(b) = oracle.pop() {
-            let a = fast.pop().unwrap();
-            assert_eq!((a.time, a.payload), (b.time, b.payload));
-        }
-        assert!(fast.is_empty());
-    }
-
-    #[test]
     fn clear_preserves_clock() {
         let mut q = EventQueue::with_geometry(0, 64);
         q.schedule(SimTime::from_ns(10), ());
@@ -716,36 +588,8 @@ mod tests {
         assert_eq!(q.pop().unwrap().time, SimTime::from_ns(11));
     }
 
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Popped timestamps are non-decreasing, and among equal
-            /// timestamps the original scheduling order is preserved.
-            #[test]
-            fn prop_stable_time_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-                let mut q = EventQueue::new();
-                for (i, &t) in times.iter().enumerate() {
-                    q.schedule(SimTime::from_ns(t), i);
-                }
-                let mut last: Option<(SimTime, usize)> = None;
-                while let Some(e) = q.pop() {
-                    if let Some((lt, lidx)) = last {
-                        prop_assert!(e.time >= lt);
-                        if e.time == lt {
-                            prop_assert!(e.payload > lidx, "FIFO violated among equal ticks");
-                        }
-                    }
-                    last = Some((e.time, e.payload));
-                }
-            }
-        }
-    }
-
-    /// Dependency-free port of `prop_stable_time_order`: randomized
-    /// schedules via the in-house RNG, checked against the same invariant.
+    /// Randomized schedules: popped timestamps are non-decreasing, and
+    /// among equal timestamps the scheduling order is preserved.
     #[test]
     fn stable_time_order_randomized() {
         let mut rng = SimRng::new(31337);

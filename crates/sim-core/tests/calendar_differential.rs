@@ -1,21 +1,45 @@
-//! Differential tests: the bucketed calendar against the binary-heap
-//! reference oracle, on large mixed schedules.
+//! Differential tests: the bucketed calendar against a binary-heap
+//! reference, on large mixed schedules.
 //!
-//! These are the acceptance tests for the calendar replacement: pop order
-//! must be **bit-identical** — same `(time, payload)` sequence — for any
+//! These are the acceptance tests for the calendar: pop order must be
+//! **bit-identical** — same `(time, payload)` sequence — for any
 //! interleaving of schedules and pops, across wheel geometries that force
 //! the overflow, migration and ring-wrap paths.
 
-use dqos_sim_core::{
-    BinaryHeapQueue, Engine, EventQueue, SimDuration, SimRng, SimTime, World,
-};
+use dqos_sim_core::{EventQueue, SimRng, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The reference calendar: a min-heap on `(time, seq, payload)` with a
+/// monotonically increasing `seq`, so same-tick events pop in schedule
+/// order — the contract the bucketed calendar must reproduce.
+#[derive(Default)]
+struct RefHeap {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    seq: u64,
+}
+
+impl RefHeap {
+    fn schedule(&mut self, at: SimTime, payload: u64) {
+        self.heap.push(Reverse((at, self.seq, payload)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|Reverse((t, _, p))| (t, p))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    }
+}
 
 /// Drive both calendars through the same mixed schedule/pop workload and
 /// assert identical pop streams.
 fn differential(seed: u64, shift: u32, n_buckets: usize, total_events: u64) {
     let mut rng = SimRng::new(seed);
     let mut fast: EventQueue<u64> = EventQueue::with_geometry(shift, n_buckets);
-    let mut oracle: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+    let mut oracle = RefHeap::default();
     let mut scheduled = 0u64;
     let mut pending = 0u64;
     let mut popped = 0u64;
@@ -42,16 +66,26 @@ fn differential(seed: u64, shift: u32, n_buckets: usize, total_events: u64) {
             let b = oracle.pop().expect("oracle queue empty while pending > 0");
             assert_eq!(
                 (a.time, a.payload),
-                (b.time, b.payload),
+                b,
                 "pop #{popped} diverged (seed {seed}, shift {shift}, buckets {n_buckets})"
             );
             assert_eq!(a.time, fast.now());
             pending -= 1;
             popped += 1;
         }
-        debug_assert_eq!(fast.len(), oracle.len());
+        assert_eq!(fast.len(), oracle.heap.len(), "len diverged after {popped} pops");
+        assert_eq!(
+            fast.peek_time(),
+            oracle.peek_time(),
+            "peek_time diverged after {popped} pops (seed {seed}, shift {shift}, buckets {n_buckets})"
+        );
     }
-    assert_eq!(fast.len(), oracle.len());
+    // Both calendars drain to empty together.
+    while let Some(b) = oracle.pop() {
+        let a = fast.pop().expect("fast queue drained before the reference");
+        assert_eq!((a.time, a.payload), b, "drain diverged");
+    }
+    assert!(fast.pop().is_none() && fast.is_empty(), "fast queue outlived the reference");
 }
 
 /// The headline differential: one million events through the default
@@ -65,7 +99,7 @@ fn one_million_events_match_reference_heap() {
 #[test]
 fn stress_geometries_match_reference_heap() {
     for (seed, shift, buckets) in
-        [(1u64, 0u32, 64usize), (2, 0, 128), (3, 6, 64), (4, 10, 256), (5, 2, 4096)]
+        [(1u64, 0u32, 64usize), (2, 0, 128), (3, 6, 64), (4, 10, 256), (5, 2, 4096), (2024, 2, 64)]
     {
         differential(seed, shift, buckets, 60_000);
     }
@@ -81,33 +115,4 @@ fn past_scheduling_panics() {
     q.schedule(SimTime::from_us(10), ());
     q.pop();
     q.schedule(SimTime::from_us(9), ());
-}
-
-struct Ticker {
-    period: SimDuration,
-    fired: Vec<SimTime>,
-}
-
-impl World for Ticker {
-    type Event = ();
-    fn handle(&mut self, now: SimTime, _ev: (), q: &mut EventQueue<()>) {
-        self.fired.push(now);
-        q.schedule(now + self.period, ());
-    }
-}
-
-/// `Engine::run_until(horizon)` runs events *at* the horizon but nothing
-/// after it — the contract the measurement windows depend on.
-#[test]
-fn run_until_is_horizon_inclusive() {
-    let mut e = Engine::new(Ticker { period: SimDuration::from_us(5), fired: vec![] });
-    e.schedule(SimTime::ZERO, ());
-    let stats = e.run_until(SimTime::from_us(20));
-    assert!(!stats.drained);
-    assert_eq!(
-        e.world.fired,
-        (0..=4).map(|i| SimTime::from_us(5 * i)).collect::<Vec<_>>(),
-        "events at 0,5,10,15,20us run; the one at 25us must not"
-    );
-    assert_eq!(e.queue.peek_time(), Some(SimTime::from_us(25)));
 }

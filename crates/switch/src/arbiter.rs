@@ -113,8 +113,7 @@ mod tests {
         }
     }
 
-    /// Dependency-free ports of the property suite, driven by the
-    /// in-house RNG so they run in the offline tier-1 build.
+    /// Randomized property checks, driven by the in-house RNG.
     mod randomized {
         use super::*;
         use dqos_sim_core::SimRng;
@@ -180,69 +179,6 @@ mod tests {
                     .collect();
                 let _ = pick_round_robin(&cands, 8, &mut ptr);
                 assert!(ptr < 8);
-            }
-        }
-    }
-
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// EDF always returns the candidate with the smallest
-            /// (deadline, input) pair.
-            #[test]
-            fn prop_edf_is_min(cands in proptest::collection::vec((0usize..16, 0u64..10_000), 1..16)) {
-                // Dedup inputs (an input offers at most one candidate).
-                let mut seen = std::collections::HashSet::new();
-                let cands: Vec<Candidate> = cands
-                    .into_iter()
-                    .filter(|(i, _)| seen.insert(*i))
-                    .map(|(input, d)| c(input, d))
-                    .collect();
-                let winner = pick_edf(&cands).unwrap();
-                let wd = cands.iter().find(|x| x.input == winner).unwrap().deadline;
-                for x in &cands {
-                    prop_assert!(
-                        (wd, winner) <= (x.deadline, x.input),
-                        "candidate {x:?} beats winner {winner} @ {wd:?}"
-                    );
-                }
-            }
-
-            /// Round-robin with a persistent candidate set is fair: over
-            /// n_rounds = k * |set| picks, every candidate wins exactly k.
-            #[test]
-            fn prop_round_robin_fair(inputs in proptest::collection::hash_set(0usize..12, 1..12), k in 1usize..5) {
-                let cands: Vec<Candidate> = inputs.iter().map(|&i| c(i, 1)).collect();
-                let mut ptr = 0;
-                let mut wins = std::collections::HashMap::new();
-                for _ in 0..k * cands.len() {
-                    let w = pick_round_robin(&cands, 12, &mut ptr).unwrap();
-                    *wins.entry(w).or_insert(0usize) += 1;
-                }
-                for &i in &inputs {
-                    prop_assert_eq!(wins.get(&i).copied().unwrap_or(0), k, "input {} starved", i);
-                }
-            }
-
-            /// The round-robin pointer always stays in range.
-            #[test]
-            fn prop_round_robin_ptr_in_range(
-                picks in proptest::collection::vec(proptest::collection::vec(0usize..8, 0..8), 1..50),
-            ) {
-                let mut ptr = 0;
-                for set in picks {
-                    let mut seen = std::collections::HashSet::new();
-                    let cands: Vec<Candidate> = set
-                        .into_iter()
-                        .filter(|i| seen.insert(*i))
-                        .map(|i| c(i, 1))
-                        .collect();
-                    let _ = pick_round_robin(&cands, 8, &mut ptr);
-                    prop_assert!(ptr < 8);
-                }
             }
         }
     }

@@ -37,5 +37,5 @@ pub mod lexer;
 pub mod rules;
 pub mod runner;
 
-pub use rules::{check_source, FileClass, Finding, RuleInfo, RULES};
-pub use runner::{check_workspace, classify, workspace_files};
+pub use rules::{check_source, non_test_lines, FileClass, Finding, RuleInfo, RULES};
+pub use runner::{check_workspace, classify, line_counts, workspace_files};

@@ -6,8 +6,10 @@
 //! cargo run --release --offline -p dqos-tidy -- <root>  # check another tree
 //! ```
 //!
-//! Exit code 0 when clean, 1 when any finding is reported, 2 on usage
-//! or I/O errors.
+//! A clean run ends with a table of non-test and all source lines per
+//! crate and in total (`#[cfg(test)]` items and `tests/` files are test
+//! lines). Exit code 0 when clean, 1 when any finding is reported, 2 on
+//! usage or I/O errors.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +43,7 @@ fn main() -> ExitCode {
     match dqos_tidy::check_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("dqos-tidy: clean ({})", root.display());
-            ExitCode::SUCCESS
+            print_line_counts(&root)
         }
         Ok(findings) => {
             for f in &findings {
@@ -55,6 +57,26 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// The clean summary's size table: non-test and all lines per crate,
+/// then the workspace total.
+fn print_line_counts(root: &std::path::Path) -> ExitCode {
+    let counts = match dqos_tidy::line_counts(root) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("dqos-tidy: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    println!("{:16} {:>9} {:>9}", "lines", "non-test", "all");
+    for (name, non_test, all) in &counts {
+        println!("{name:16} {non_test:>9} {all:>9}");
+    }
+    let non_test: usize = counts.iter().map(|c| c.1).sum();
+    let all: usize = counts.iter().map(|c| c.2).sum();
+    println!("{:16} {non_test:>9} {all:>9}", "total");
+    ExitCode::SUCCESS
 }
 
 /// Walk up from the current directory to the first `Cargo.toml` that

@@ -676,6 +676,27 @@ fn has_forbid_unsafe(toks: &[Tok]) -> bool {
     })
 }
 
+/// Lines of `src` outside `#[cfg(test)]`- and `#[test]`-gated items
+/// (the regions [`test_region_mask`] marks), blank and comment lines
+/// included: the size of the program as opposed to its tests.
+pub fn non_test_lines(src: &str) -> usize {
+    let toks = lexer::lex(src).tokens;
+    let mask = test_region_mask(&toks);
+    let mut test_lines = 0usize;
+    let mut i = 0usize;
+    while i < toks.len() {
+        if mask[i] {
+            let first = toks[i].line;
+            while i + 1 < toks.len() && mask[i + 1] {
+                i += 1;
+            }
+            test_lines += (toks[i].line - first + 1) as usize;
+        }
+        i += 1;
+    }
+    src.lines().count().saturating_sub(test_lines)
+}
+
 /// Mark every token that lives inside a `#[cfg(test)]`- or
 /// `#[test]`-gated item. Conservative: any attribute mentioning the
 /// bare identifier `test` gates the item that follows.

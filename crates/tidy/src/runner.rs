@@ -4,7 +4,8 @@
 //! apply to it (see [`FileClass`]); `rules::check_source` then handles
 //! the finer-grained `#[cfg(test)]` regions inside library files.
 
-use crate::rules::{check_source, FileClass, Finding};
+use crate::rules::{check_source, non_test_lines, FileClass, Finding};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -34,12 +35,17 @@ const LOCK_ORDER_REQUIRED: &[&str] = &[];
 /// tier-1 tests can never accidentally open a socket.
 const NET_ALLOWLIST: &[&str] = &["crates/dqosd/src/transport/socket.rs"];
 
+/// The crate a workspace-relative path belongs to: the directory name
+/// under `crates/`, or `deadline-qos` for the umbrella crate.
+fn crate_of(rel: &str) -> &str {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split('/').next())
+        .unwrap_or("deadline-qos")
+}
+
 /// Classify one workspace-relative path.
 pub fn classify(rel: &str) -> FileClass {
-    let crate_name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("deadline-qos");
+    let crate_name = crate_of(rel);
     let in_src = rel.split('/').any(|seg| seg == "src");
     let is_main = rel.ends_with("/main.rs") || rel == "main.rs";
     let is_lib = in_src && !is_main;
@@ -117,6 +123,23 @@ pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(findings)
+}
+
+/// Line counts of the files [`workspace_files`] checks, per crate:
+/// `(crate, non-test lines, all lines)`, sorted by crate name. Files
+/// under a `tests/` directory are test code throughout; elsewhere
+/// [`non_test_lines`] drops the `#[cfg(test)]` regions.
+pub fn line_counts(root: &Path) -> io::Result<Vec<(String, usize, usize)>> {
+    let mut per_crate: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for rel in workspace_files(root)? {
+        let src = std::fs::read_to_string(root.join(&rel))?;
+        let non_test =
+            if rel.split('/').any(|seg| seg == "tests") { 0 } else { non_test_lines(&src) };
+        let entry = per_crate.entry(crate_of(&rel).to_string()).or_default();
+        entry.0 += non_test;
+        entry.1 += src.lines().count();
+    }
+    Ok(per_crate.into_iter().map(|(name, (non_test, all))| (name, non_test, all)).collect())
 }
 
 #[cfg(test)]

@@ -346,3 +346,10 @@ fn real_workspace_is_clean() {
         findings.iter().map(|f| f.to_string()).collect::<Vec<_>>().join("\n")
     );
 }
+
+#[test]
+fn line_count_skips_test_modules() {
+    let src = include_str!("fixtures/loc_test_module.rs");
+    assert_eq!(src.lines().count(), 14);
+    assert_eq!(dqos_tidy::non_test_lines(src), 7);
+}

@@ -608,7 +608,7 @@ mod tests {
         }
     }
 
-    /// Dependency-free port of the property suite: random (src, dst,
+    /// Randomized: random (src, dst,
     /// choice) triples across all scaled networks yield structurally
     /// valid, minimal routes; distinct spine choices are link-disjoint.
     #[test]
@@ -647,58 +647,6 @@ mod tests {
             }
             // Link list length matches hop count + injection.
             assert_eq!(net.links_on_route(&r).len(), r.len() + 1);
-        }
-    }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Any (src, dst, choice) triple yields a structurally valid,
-            /// minimal route in any scaled network.
-            #[test]
-            fn prop_routes_valid(
-                hosts in prop::sample::select(vec![8u16, 16, 32, 64, 128]),
-                src in 0u32..128,
-                dst in 0u32..128,
-                choice in 0u16..8,
-            ) {
-                let params = ClosParams::scaled(hosts);
-                let net = FoldedClos::build(params);
-                let n = net.n_hosts();
-                let (src, dst) = (HostId(src % n), HostId(dst % n));
-                prop_assume!(src != dst);
-                let choices = net.route_choices(src, dst);
-                let r = net.route(src, dst, choice % choices);
-                prop_assert!(net.check_route(&r).is_ok());
-                // Minimality: 1 hop intra-leaf, 3 hops inter-leaf.
-                if net.leaf_of(src) == net.leaf_of(dst) {
-                    prop_assert_eq!(r.len(), 1);
-                } else {
-                    prop_assert_eq!(r.len(), 3);
-                }
-                // Link list length matches hop count + injection.
-                prop_assert_eq!(net.links_on_route(&r).len(), r.len() + 1);
-            }
-
-            /// Different spine choices give link-disjoint middles.
-            #[test]
-            fn prop_spine_choices_disjoint(src in 0u32..128, dst in 0u32..128) {
-                let net = FoldedClos::build(ClosParams::paper());
-                let (src, dst) = (HostId(src), HostId(dst));
-                prop_assume!(src != dst);
-                prop_assume!(net.leaf_of(src) != net.leaf_of(dst));
-                let a = net.links_on_route(&net.route(src, dst, 0));
-                let b = net.links_on_route(&net.route(src, dst, 1));
-                // First (injection) and last (delivery) links shared; the
-                // spine transit links differ.
-                prop_assert_eq!(a[0], b[0]);
-                prop_assert_eq!(a[3], b[3]);
-                prop_assert_ne!(a[1], b[1]);
-                prop_assert_ne!(a[2], b[2]);
-            }
         }
     }
 }
